@@ -159,6 +159,32 @@ func BenchmarkAblationHolistic(b *testing.B) {
 	b.ReportMetric(perMode.SettlingTime*1e3, "permode-ms")
 }
 
+// BenchmarkDesignHolistic measures one holistic controller design (both
+// PSO phases and the compass polish) of the first case-study application on
+// a fixed burst schedule at the quick budget: the ctrl-layer unit of work
+// behind every design-objective schedule evaluation.
+func BenchmarkDesignHolistic(b *testing.B) {
+	study := apps.CaseStudy()
+	timings, _, err := apps.Timings(study, wcet.PaperPlatform())
+	if err != nil {
+		b.Fatal(err)
+	}
+	derived, err := sched.Derive(timings, sched.Schedule{2, 2, 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var d *ctrl.Design
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err = ctrl.DesignHolistic(study[0].Plant, derived[0], study[0].Constraints(), exp.QuickBudget())
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(d.SettlingTime*1e3, "settling-ms")
+	b.ReportMetric(float64(d.Evaluations), "evals")
+}
+
 // BenchmarkAblationCacheOblivious evaluates the same burst schedule with
 // cache-reuse-aware WCETs versus cold-only WCETs (as a cache-oblivious
 // designer would have to assume), isolating the value of the cache model.

@@ -44,10 +44,10 @@ type DesignOptions struct {
 	Swarm pso.Options // PSO budget; zero-value uses pso defaults
 	Sim   SimOptions  // simulation grid; Horizon <= 0 defaults to 2.5x deadline
 	// GainScale multiplies the warm-start gain magnitudes to form the PSO
-	// search box (default 8).
+	// search box (default 4).
 	GainScale float64
 	// WarmStartRadii are closed-loop pole radii used to generate Ackermann
-	// warm starts (default 0.2, 0.4, 0.6, 0.8).
+	// warm starts (default 0.2, 0.4, 0.6, 0.8, 0.9, 0.96).
 	WarmStartRadii []float64
 	// PerModeFeedforward selects the paper's per-mode Eq. (17) feedforward
 	// instead of the default holistic (periodic-orbit) feedforward; the
@@ -145,10 +145,10 @@ func DesignHolistic(plant *lti.System, as sched.AppSchedule, cons Constraints, o
 	// cache-hot. All instances are bit-identical to the allocating
 	// reference objective.
 	eval := newDesignEval(plan, modes, cons, opt.PerModeFeedforward)
-	newObjective := func() func([]float64) float64 {
+	newObjective := func() pso.Objective {
 		return newDesignEval(plan, modes, cons, opt.PerModeFeedforward).objective
 	}
-	newShared := func() func([]float64) float64 {
+	newShared := func() pso.Objective {
 		return newDesignEval(plan, modes, cons, opt.PerModeFeedforward).sharedObjective
 	}
 
@@ -261,8 +261,10 @@ func EvaluateDesign(plant *lti.System, modes []Mode, g Gains, cons Constraints, 
 
 // polish runs a bounded compass (pattern) search from x0: probe +/- step
 // along every coordinate, move to the best improvement, halve the step when
-// none improves. Deterministic, at most ~40*dim objective evaluations.
-func polish(x0 []float64, v0 float64, lower, upper []float64, objective func([]float64) float64) ([]float64, float64, int) {
+// none improves. Deterministic, at most ~40*dim objective evaluations. A
+// probe only matters if it beats the incumbent, so the incumbent's value is
+// its cutoff.
+func polish(x0 []float64, v0 float64, lower, upper []float64, objective pso.Objective) ([]float64, float64, int) {
 	dim := len(x0)
 	x := append([]float64(nil), x0...)
 	v := v0
@@ -281,7 +283,7 @@ func polish(x0 []float64, v0 float64, lower, upper []float64, objective func([]f
 				if probe[i] == x[i] {
 					continue
 				}
-				pv := objective(probe)
+				pv := objective(probe, v)
 				evals++
 				if pv < v {
 					v = pv
@@ -314,17 +316,27 @@ func clampTo(x, lo, hi float64) float64 {
 // It runs the compiled plan's streaming evaluation — no trajectory is
 // materialized — and produces values bit-identical to the dense path (see
 // TestDesignObjectiveStreamingMatchesDense). It is the allocating reference
-// implementation; the search itself runs designEval, whose per-worker
-// scratch computes the same value bit for bit.
+// implementation, always run to the horizon (cutoff +Inf); the search
+// itself runs designEval, whose per-worker scratch computes the same value
+// bit for bit wherever it is below the search's cutoff.
 func designObjective(plan *SimPlan, modes []Mode, g Gains, cons Constraints) float64 {
 	stable, rho, err := StableMonodromy(modes, g)
-	return monodromyScore(plan, g, cons, stable, rho, err)
+	return monodromyScore(plan, g, cons, stable, rho, err, math.Inf(1))
 }
+
+// divergedScore is the cost of a stable candidate whose simulation diverged.
+const divergedScore = 1e5
 
 // monodromyScore turns a stability verdict plus the streaming simulation
 // metrics into the scalar design cost; shared by designObjective and
-// designEval so the two paths cannot drift.
-func monodromyScore(plan *SimPlan, g Gains, cons Constraints, stable bool, rho float64, err error) float64 {
+// designEval so the two paths cannot drift. It honours the pso.Objective
+// cutoff contract: below cutoff the value is exact; otherwise it is some
+// value >= cutoff. With cutoff <= divergedScore the simulation stops at the
+// first sampling instant where scoreBound proves the score cannot come in
+// below cutoff, and the result is cutoff itself. A run that would diverge
+// later scores divergedScore >= cutoff, so stopping early is sound for it
+// too; above divergedScore the run always completes.
+func monodromyScore(plan *SimPlan, g Gains, cons Constraints, stable bool, rho float64, err error, cutoff float64) float64 {
 	if err != nil || math.IsNaN(rho) {
 		return 1e6
 	}
@@ -333,11 +345,18 @@ func monodromyScore(plan *SimPlan, g Gains, cons Constraints, stable bool, rho f
 		return 1e3 * (1 + rho)
 	}
 	horizon := plan.Horizon()
+	var stop scoreBound // disabled: the run reaches the horizon
+	if cutoff <= divergedScore {
+		stop = scoreBound{enabled: true, cutoff: cutoff, horizon: horizon, itaeNorm: itaeNorm(cons.Ref, plan.tEnd), uMax: cons.UMax}
+	}
 	// Design against a slightly tighter band than the reported one so the
 	// final 2% measurement has margin instead of riding the band edge.
-	met, err := plan.Metrics(g, cons.Ref, 0.9*cons.Band, horizon/2, 0.9*cons.Band)
+	met, err := plan.boundedMetrics(g, cons.Ref, 0.9*cons.Band, horizon/2, 0.9*cons.Band, stop)
+	if err == errCutoff {
+		return cutoff
+	}
 	if err != nil {
-		return 1e5
+		return divergedScore
 	}
 	// The sampled settling time is a staircase in gain space; the smooth
 	// ITAE term gives the swarm a gradient across its plateaus.
@@ -357,6 +376,48 @@ func monodromyScore(plan *SimPlan, g Gains, cons Constraints, stable bool, rho f
 		obj += horizon * 5 * (met.PeakInput/cons.UMax - 1)
 	}
 	return obj
+}
+
+// scoreBound is the early-stop test of a cutoff-bounded monodromyScore. At
+// each sampling instant the streaming simulation asks for a lower bound on
+// the final score from the metrics so far. Every term below is
+// non-negative and can only grow as the run goes on, and each is evaluated
+// in exactly the expression shape monodromyScore uses; IEEE rounding is
+// monotone, so the bound never exceeds the score the completed run would
+// get.
+type scoreBound struct {
+	enabled  bool
+	cutoff   float64
+	horizon  float64
+	itaeNorm float64 // ITAE normalizer at the plan's final dense time
+	uMax     float64
+}
+
+// reached reports whether the lower bound over the partial run in a has
+// reached the cutoff.
+func (b *scoreBound) reached(a *metricsAcc) bool {
+	// Settled branch, SettlingTime + 0.25·H·ITAE (the ripple penalty only
+	// adds to it):
+	//  - the final settling instant is the current candidate's start while
+	//    the output is in the band, and a later instant otherwise;
+	//  - itaeSum only accumulates non-negative terms, and the normalizer is
+	//    the one finalize will use at the gain-independent final time.
+	settle := a.lastInstT
+	if a.cand {
+		settle = a.candT
+	}
+	lb := settle + 0.25*b.horizon*(a.itaeSum/b.itaeNorm)
+	// Unsettled branch, H·(1.5 + BandViolation + FinalError/|r|), is at
+	// least H·1.5 whatever the rest of the run does.
+	if unsettled := b.horizon * 1.5; unsettled < lb {
+		lb = unsettled
+	}
+	// Saturation penalty: the peak input so far bounds the final peak
+	// from below.
+	if b.uMax > 0 && a.peakIn > b.uMax {
+		lb += b.horizon * 5 * (a.peakIn/b.uMax - 1)
+	}
+	return lb >= b.cutoff
 }
 
 // gainsFromVector unpacks the PSO decision vector into per-mode gains and

@@ -62,7 +62,7 @@ func TestDesignEvalMatchesReference(t *testing.T) {
 				x[i] = scale * r.NormFloat64()
 			}
 			want := reference(x)
-			got := eval.objective(x)
+			got := eval.objective(x, math.Inf(1))
 			if math.Float64bits(want) != math.Float64bits(got) {
 				t.Fatalf("perMode=%v trial %d: designEval %v (%x), reference %v (%x)",
 					perMode, trial, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -81,8 +81,8 @@ func TestDesignEvalSharedObjectiveMatchesTiled(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		k := []float64{r.NormFloat64(), r.NormFloat64()}
 		tiled := append(append([]float64(nil), k...), k...)
-		want := check.objective(tiled)
-		got := eval.sharedObjective(k)
+		want := check.objective(tiled, math.Inf(1))
+		got := eval.sharedObjective(k, math.Inf(1))
 		if math.Float64bits(want) != math.Float64bits(got) {
 			t.Fatalf("trial %d: shared %v, tiled %v", trial, got, want)
 		}
@@ -102,7 +102,7 @@ func TestDesignEvalInstancesAgree(t *testing.T) {
 		for i := range x {
 			x[i] = 5 * r.NormFloat64()
 		}
-		va, vb := a.objective(x), b.objective(x)
+		va, vb := a.objective(x, math.Inf(1)), b.objective(x, math.Inf(1))
 		if math.Float64bits(va) != math.Float64bits(vb) {
 			t.Fatalf("trial %d: instance values differ: %v vs %v", trial, va, vb)
 		}

@@ -30,6 +30,7 @@ import (
 type SimPlan struct {
 	m, l    int
 	horizon float64
+	tEnd    float64     // time of the last dense sample of every completed run
 	gap     []segment   // initial idle-gap segments (held input applies)
 	plans   [][]segment // per-mode propagation segments
 	cRow    []float64
@@ -61,6 +62,7 @@ type simScratch struct {
 var (
 	errNoModes  = errors.New("ctrl: no modes to simulate")
 	errDiverged = errors.New("ctrl: control input diverged to non-finite value")
+	errCutoff   = errors.New("ctrl: run stopped at the score cutoff")
 )
 
 // discretizer memoizes the ZOH discretization by step length: the gap and
@@ -164,6 +166,19 @@ func CompileSimPlan(plant *lti.System, modes []Mode, opt SimOptions) (*SimPlan, 
 	for _, segs := range p.plans {
 		bindArena(d.arena, l, segs)
 	}
+	// The dense clock does not depend on the gains: replay run's t += dt
+	// sequence once so cutoff bounds can use the final time's ITAE
+	// normalizer bit for bit before the run gets there.
+	t := 0.0
+	for i := range p.gap {
+		t += p.gap[i].dt
+	}
+	for j := 0; t < p.horizon; j = (j + 1) % p.m {
+		for i := range p.plans[j] {
+			t += p.plans[j][i].dt
+		}
+	}
+	p.tEnd = t
 	p.scratch.New = func() any {
 		sc := &simScratch{
 			x:     make([]float64, p.l),
@@ -235,7 +250,9 @@ func (rs *runState) step(seg *segment, u float64) {
 // run is the shared core loop: it propagates the switched closed loop and
 // feeds every dense sample and sampling instant to at most one of the two
 // observers (tr records, acc streams). Keeping a single loop guarantees the
-// two modes see bit-identical dynamics.
+// two modes see bit-identical dynamics. A streaming run with an enabled
+// score bound (acc.stop) returns errCutoff at the first sampling instant
+// where the bound reaches its cutoff.
 func (p *SimPlan) run(g Gains, r float64, tr *Trajectory, acc *metricsAcc) error {
 	if err := g.Validate(p.m, p.l); err != nil {
 		return err
@@ -284,6 +301,9 @@ func (p *SimPlan) run(g Gains, r float64, tr *Trajectory, acc *metricsAcc) error
 			tr.Inputs = append(tr.Inputs, u)
 		} else if acc != nil {
 			acc.instant(rs.t, yi, u)
+			if acc.stop.enabled && acc.stop.reached(acc) {
+				return errCutoff
+			}
 		}
 		segs := p.plans[j]
 		for i := range segs {
@@ -336,6 +356,7 @@ type metricsAcc struct {
 	delta     float64 // settling band half-width, band*|r|
 	violFrom  float64
 	violDelta float64
+	stop      scoreBound // disabled (zero value): run to the horizon
 
 	candT float64 // time of the current candidate settling instant
 	cand  bool
@@ -415,8 +436,7 @@ func (a *metricsAcc) finalize() SimMetrics {
 	if a.nDense < 2 {
 		m.ITAE = math.Inf(1)
 	} else {
-		T := a.lastDenseT
-		norm := math.Abs(a.r) * T * T / 2
+		norm := itaeNorm(a.r, a.lastDenseT)
 		if norm == 0 {
 			m.ITAE = math.Inf(1)
 		} else {
@@ -436,17 +456,31 @@ func (a *metricsAcc) finalize() SimMetrics {
 	return m
 }
 
+// itaeNorm is the ITAE normalizer |r|·T²/2 of a run whose last dense
+// sample is at time T.
+func itaeNorm(r, T float64) float64 {
+	return math.Abs(r) * T * T / 2
+}
+
 // Metrics runs the plan with the given gains and streams the design
 // statistics without recording the trajectory: band is the settling band
 // fraction (the objective's tightened band), violFrom/violBand parameterize
 // the band-violation window. Values equal those derived from a recorded
 // Trajectory bit for bit.
 func (p *SimPlan) Metrics(g Gains, r, band, violFrom, violBand float64) (SimMetrics, error) {
+	return p.boundedMetrics(g, r, band, violFrom, violBand, scoreBound{})
+}
+
+// boundedMetrics is Metrics with a score bound: when stop is enabled and
+// its bound reaches the cutoff at some sampling instant, the run ends there
+// with errCutoff.
+func (p *SimPlan) boundedMetrics(g Gains, r, band, violFrom, violBand float64, stop scoreBound) (SimMetrics, error) {
 	acc := metricsAcc{
 		r:         r,
 		delta:     band * math.Abs(r),
 		violFrom:  violFrom,
 		violDelta: violBand * math.Abs(r),
+		stop:      stop,
 		peakOut:   math.Inf(-1),
 	}
 	if err := p.run(g, r, nil, &acc); err != nil {

@@ -74,6 +74,23 @@ func TestSimPlanSimulateMatchesPackageSimulate(t *testing.T) {
 	}
 }
 
+// TestSimPlanFinalTime pins the precompiled final dense time the cutoff
+// bound normalizes ITAE with: it must equal the last dense sample's time
+// of a completed run bit for bit, whatever the gains.
+func TestSimPlanFinalTime(t *testing.T) {
+	plan, _, g, cons := planFixture(t)
+	weak := Gains{K: []*mat.Matrix{mat.RowVec(0.01, 0), mat.RowVec(0, 0.001)}, F: []float64{0.5, 0.5}}
+	for _, gains := range []Gains{g, weak} {
+		tr, err := plan.Simulate(gains, cons.Ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := tr.Dense[len(tr.Dense)-1].T; math.Float64bits(last) != math.Float64bits(plan.tEnd) {
+			t.Fatalf("last dense time %v, precompiled %v", last, plan.tEnd)
+		}
+	}
+}
+
 // denseMetrics derives SimMetrics from a recorded trajectory through the
 // original dense-slice computations; the streaming path must match it bit
 // for bit.

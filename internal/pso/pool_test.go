@@ -17,7 +17,7 @@ func sphereProblem(dim int) Problem {
 	}
 	return Problem{
 		Dim: dim, Lower: lower, Upper: upper,
-		Objective: func(x []float64) float64 {
+		Objective: func(x []float64, _ float64) float64 {
 			s := 0.0
 			for _, v := range x {
 				s += v * v
@@ -57,10 +57,10 @@ func TestMinimizeWorkerCountBitIdentical(t *testing.T) {
 func TestMinimizeNewObjectiveInstances(t *testing.T) {
 	p := sphereProblem(3)
 	var instances atomic.Int64
-	p.NewObjective = func() func([]float64) float64 {
+	p.NewObjective = func() Objective {
 		instances.Add(1)
 		scratch := make([]float64, 3) // private per-instance state
-		return func(x []float64) float64 {
+		return func(x []float64, _ float64) float64 {
 			copy(scratch, x)
 			s := 0.0
 			for _, v := range scratch {

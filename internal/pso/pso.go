@@ -36,18 +36,30 @@ import (
 	"repro/internal/parallel"
 )
 
+// Objective is a cutoff-bounded cost function. When the true value at x is
+// below cutoff it must return that value exactly; otherwise it may return
+// any value >= cutoff (typically a cheaper lower bound that already reached
+// it). With cutoff = +Inf it always returns the true value.
+//
+// Minimize only ever compares a particle's value against that particle's
+// personal best, which is never below the global best, so it passes +Inf
+// in the initial round and the particle's personal best after that: every
+// accepted value is exact and the run is bit-identical to one whose
+// objective ignores the cutoff.
+type Objective func(x []float64, cutoff float64) float64
+
 // Problem describes a box-constrained minimization problem.
 type Problem struct {
 	Dim       int
 	Lower     []float64 // len Dim
 	Upper     []float64 // len Dim
-	Objective func(x []float64) float64
+	Objective Objective
 	// NewObjective, when non-nil, supplies an independent objective
 	// instance per pool worker (typically a closure over private evaluation
 	// scratch). Every instance must compute exactly the same function as
 	// Objective; Minimize calls it once per worker it starts and uses
 	// Objective itself on the calling goroutine.
-	NewObjective func() func(x []float64) float64
+	NewObjective func() Objective
 }
 
 // Validate checks the problem definition.
@@ -135,6 +147,9 @@ func Minimize(p Problem, o Options) (*Result, error) {
 	vel := make([][]float64, n)
 	pbest := make([][]float64, n)
 	pbestVal := make([]float64, n)
+	for i := range pbestVal {
+		pbestVal[i] = math.Inf(1) // the cutoffs of the initial round
+	}
 	vmax := make([]float64, d)
 	for j := 0; j < d; j++ {
 		vmax[j] = 0.5 * (p.Upper[j] - p.Lower[j])
@@ -162,7 +177,7 @@ func Minimize(p Problem, o Options) (*Result, error) {
 
 	evals := 0
 	values := make([]float64, n)
-	pool := newEvalPool(p, o, pos, values)
+	pool := newEvalPool(p, o, pos, values, pbestVal)
 	defer pool.stop()
 	evaluate := func() {
 		pool.run()
@@ -208,6 +223,8 @@ func Minimize(p Problem, o Options) (*Result, error) {
 			}
 		}
 		evaluate()
+		// values[i] was evaluated with cutoff pbestVal[i] >= gbestVal, so it
+		// is exact whenever either comparison below can succeed.
 		improved := false
 		for i := 0; i < n; i++ {
 			if values[i] < pbestVal[i] {
@@ -243,15 +260,18 @@ func clamp(x, lo, hi float64) float64 {
 }
 
 // evalPool is the persistent evaluation worker pool of one Minimize run.
-// The calling goroutine always participates in every round, so a round
-// completes even when the governor grants no tokens; helpers are signalled
-// over reused channels (one token-free struct{} send per helper per round —
-// the steady-state round allocates nothing).
+// Particle i is evaluated with cutoff cutoffs[i] (Minimize's pbestVal,
+// written only between rounds). The calling goroutine always participates
+// in every round, so a round completes even when the governor grants no
+// tokens; helpers are signalled over reused channels (one token-free
+// struct{} send per helper per round — the steady-state round allocates
+// nothing).
 type evalPool struct {
 	n       int
 	pos     [][]float64
 	values  []float64
-	obj     func([]float64) float64 // the caller's instance
+	cutoffs []float64
+	obj     Objective // the caller's instance
 	next    atomic.Int64
 	helpers int
 	start   chan struct{}
@@ -259,8 +279,8 @@ type evalPool struct {
 	exec    *parallel.Executor
 }
 
-func newEvalPool(p Problem, o Options, pos [][]float64, values []float64) *evalPool {
-	ep := &evalPool{n: len(pos), pos: pos, values: values, obj: p.Objective, exec: parallel.Default()}
+func newEvalPool(p Problem, o Options, pos [][]float64, values, cutoffs []float64) *evalPool {
+	ep := &evalPool{n: len(pos), pos: pos, values: values, cutoffs: cutoffs, obj: p.Objective, exec: parallel.Default()}
 	workers := o.Workers
 	if workers > ep.n {
 		workers = ep.n
@@ -277,7 +297,7 @@ func newEvalPool(p Problem, o Options, pos [][]float64, values []float64) *evalP
 			// built lazily on the first round this helper actually joins:
 			// on a token-saturated box a helper that only ever sits rounds
 			// out costs one idle goroutine and nothing else.
-			var obj func([]float64) float64
+			var obj Objective
 			for range ep.start {
 				// One governor token per participating helper per round:
 				// with none to spare this round runs on the caller alone.
@@ -294,19 +314,20 @@ func newEvalPool(p Problem, o Options, pos [][]float64, values []float64) *evalP
 				}
 				ep.done <- struct{}{}
 			}
+			ep.done <- struct{}{} // exited: stop waits for this
 		}()
 	}
 	return ep
 }
 
 // work claims particles until the round's counter is exhausted.
-func (ep *evalPool) work(obj func([]float64) float64) {
+func (ep *evalPool) work(obj Objective) {
 	for {
 		i := int(ep.next.Add(1)) - 1
 		if i >= ep.n {
 			return
 		}
-		ep.values[i] = obj(ep.pos[i])
+		ep.values[i] = obj(ep.pos[i], ep.cutoffs[i])
 	}
 }
 
@@ -322,9 +343,15 @@ func (ep *evalPool) run() {
 	}
 }
 
-// stop terminates the helper goroutines.
+// stop terminates the helper goroutines and returns once all have exited,
+// so no helper outlives its Minimize call (and the next call's helpers
+// reuse the exited goroutines instead of allocating new ones, which keeps
+// TestMinimizeSteadyStateAllocs exact on a loaded box).
 func (ep *evalPool) stop() {
 	if ep.start != nil {
 		close(ep.start)
+		for w := 0; w < ep.helpers; w++ {
+			<-ep.done
+		}
 	}
 }
