@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http/httptest"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -19,10 +20,13 @@ import (
 	"repro/internal/ctrl"
 	"repro/internal/engine"
 	"repro/internal/exp"
+	"repro/internal/fabric"
 	"repro/internal/lti"
 	"repro/internal/mat"
 	"repro/internal/sched"
 	"repro/internal/search"
+	"repro/internal/store"
+	"repro/internal/store/httpstore"
 	"repro/internal/wcet"
 )
 
@@ -625,4 +629,123 @@ func BenchmarkClosedLoopSimulationDense(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchRecord is a real checkpoint payload (one exhaustive timing scenario)
+// — the size and shape of every record a stored timing sweep writes.
+var benchRecord = []byte(`{"name":"s000","seed":1,"apps":3,"best":[1,1,1],"best_value_bits":4604508145677911936,"best_value":0.7030960405702302,"found_best":true,"evaluated":158,"hits":89,"misses":158,"exhaustive":{"evaluated":158,"feasible":158,"best":[1,1,1],"best_value_bits":4604508145677911936,"found_best":true,"shared_value_bits":0}}`)
+
+func benchStore(b *testing.B, o store.Options) *store.Store {
+	b.Helper()
+	st, err := store.OpenWithOptions(b.TempDir(), o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
+// BenchmarkStorePut is one local disk-store write of a fresh record
+// (envelope, checksum, temp file, rename), without and with the per-record
+// fsync of -store-sync. It is the price a stored sweep pays per record,
+// and the bar a point must clear to earn one (engine Objective.persistsPoints).
+func BenchmarkStorePut(b *testing.B) {
+	for _, sync := range []bool{false, true} {
+		b.Run(fmt.Sprintf("sync=%t", sync), func(b *testing.B) {
+			st := benchStore(b, store.Options{SyncPuts: sync})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.Put(fmt.Sprintf("r/bench%08d", i), benchRecord)
+			}
+			b.StopTimer()
+			if s := st.Stats(); s.PutErrors != 0 {
+				b.Fatalf("put errors: %+v", s)
+			}
+		})
+	}
+}
+
+// BenchmarkStoreGet is one local disk-store read of a present record
+// (file read, envelope decode, key and checksum verification).
+func BenchmarkStoreGet(b *testing.B) {
+	st := benchStore(b, store.Options{})
+	const keys = 256
+	for i := 0; i < keys; i++ {
+		st.Put(fmt.Sprintf("r/bench%08d", i), benchRecord)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := st.Get(fmt.Sprintf("r/bench%08d", i%keys)); !ok {
+			b.Fatal("record missing")
+		}
+	}
+}
+
+// BenchmarkHTTPStoreRoundTrip is one httpstore client operation against a
+// loopback coordinator mounting a disk store: the per-record cost a
+// cluster worker pays for its checkpoints.
+func BenchmarkHTTPStoreRoundTrip(b *testing.B) {
+	st := benchStore(b, store.Options{})
+	srv := httptest.NewServer(httpstore.Handler(st))
+	defer srv.Close()
+	cl := httpstore.New(srv.URL, nil)
+	puts := 0 // keys stay fresh across the sub-benchmark's b.N rounds
+	b.Run("op=put", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cl.Put(fmt.Sprintf("r/put%08d", puts), benchRecord)
+			puts++
+		}
+	})
+	cl.Put("r/get", benchRecord)
+	b.Run("op=get", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := cl.Get("r/get"); !ok {
+				b.Fatal("record missing")
+			}
+		}
+	})
+}
+
+// BenchmarkJournalAppend is one coordinator journal append of a shard
+// completion, with the default fsync per append and with flushing left to
+// the OS.
+func BenchmarkJournalAppend(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		sync fabric.SyncPolicy
+	}{{"sync=always", fabric.SyncAlways}, {"sync=never", fabric.SyncNever}} {
+		b.Run(c.name, func(b *testing.B) {
+			j, err := fabric.OpenJournal(b.TempDir(), fabric.JournalOptions{Sync: c.sync})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer j.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := j.Append(fabric.Record{Op: fabric.OpComplete, Job: "job-5f6f3f8aa900fee1", Shard: i}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSweepStored is `sweep -n 64 -platforms 4 -exhaustive -store`
+// in process: the 64-scenario, 4-platform exhaustive timing sweep into a
+// fresh disk store per iteration. records/op is what the sweep leaves on
+// disk (one checkpoint per scenario).
+func BenchmarkSweepStored(b *testing.B) {
+	scns, err := engine.Grid{N: 64, Seed: 1, Platforms: 4, Exhaustive: true}.Scenarios()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var st *store.Store
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st = benchStore(b, store.Options{})
+		b.StartTimer()
+		if _, err := engine.Sweep(engine.Config{Workers: runtime.GOMAXPROCS(0), Store: st}, scns); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.Len()), "records/op")
 }

@@ -28,9 +28,9 @@
 // branch-and-bound bound (the optimum is pinned identical either way; the
 // table always uses it).
 //
-// With -store DIR joint-point evaluations and per-platform checkpoint
-// records persist to a content-addressed disk store (internal/store,
-// shareable with cmd/sweep and cmd/served); -resume additionally loads
+// With -store DIR per-platform checkpoint records (plus, under -objective
+// design, joint-point evaluations) persist to a content-addressed disk
+// store (internal/store, shareable with cmd/sweep and cmd/served); -resume additionally loads
 // completed platform variants from their checkpoints, so a warm store
 // renders Table IV without re-searching the joint box. Table mode is
 // bit-identical across cold, warm, and resumed runs; detail mode on a
@@ -75,7 +75,7 @@ func run(args []string, stdout io.Writer) error {
 	exhaustive := fs.Bool("exhaustive", false, "brute-force the joint box under -objective design (always on for timing)")
 	cores := fs.Int("cores", 1, "co-optimize app placement over this many cores (Table V with > 1)")
 	bb := fs.Bool("bb", false, "prune detail-mode searches with branch-and-bound")
-	storeDir := fs.String("store", "", "persist evaluations and checkpoints to this directory")
+	storeDir := fs.String("store", "", "persist checkpoints (and design-objective evaluations) to this directory")
 	resume := fs.Bool("resume", false, "load platform variants already checkpointed in -store")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

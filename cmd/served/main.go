@@ -52,9 +52,11 @@
 // evaluated concurrently. Concurrent identical requests coalesce through
 // the same singleflight evaluation caches the sweep engine uses
 // (internal/engine/evalcache), and with -store every design outcome,
-// sweep evaluation, scenario checkpoint, and rendered table persists
-// across restarts — a warm service answers repeat queries from disk
-// without recomputing (visible as disk-tier hits in /statsz). Shutdown is
+// scenario checkpoint, and rendered table persists across restarts — a
+// warm service answers repeat queries from disk without recomputing
+// (visible as disk-tier hits in /statsz). Timing-sweep points are cheaper
+// to recompute than to store, so /v1/sweep persists its checkpoints only
+// and reports disk_hits 0 on timing rows. Shutdown is
 // graceful: SIGINT/SIGTERM drains in-flight requests before exiting.
 package main
 

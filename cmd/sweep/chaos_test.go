@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/fabric"
+	"repro/internal/resilience"
 	"repro/internal/store"
 	"repro/internal/store/httpstore"
 )
@@ -33,17 +34,19 @@ func TestRemoteSweepChaosGolden(t *testing.T) {
 	}
 
 	// Store plane: 30% seeded 500s, with a blackhole burst armed mid-sweep
-	// (once the workers have issued enough traffic to be inside their
-	// shards). Blackholed requests abort the connection without a response —
-	// the coordinator has vanished, not erred — which is what drives worker
-	// store breakers open and exercises the degraded compute-without-
-	// checkpoints path.
+	// by the first checkpoint PUT — the first scenario to finish, an event
+	// every run has however little store traffic it makes. Blackholed
+	// requests abort the connection without a response — the coordinator
+	// has vanished, not erred — which drives the checkpointing worker's
+	// store breaker open and exercises the degraded compute-without-
+	// checkpoints path. The burst is one breaker's worth of aborts; that
+	// worker's own retries exhaust it before the workers finish, so the
+	// assembly reads below meet the seeded 500s instead.
 	storeMW := chaos.NewMiddleware(httpstore.Handler(st), chaos.Config{Seed: 20260807, ErrRate: 0.3})
-	var storeOps atomic.Int64
 	var armed atomic.Bool
 	storePlane := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if storeOps.Add(1) == 40 && armed.CompareAndSwap(false, true) {
-			storeMW.Blackhole(60)
+		if r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/v1/store/r/") && armed.CompareAndSwap(false, true) {
+			storeMW.Blackhole(resilience.DefaultBreakerThreshold)
 		}
 		storeMW.ServeHTTP(w, r)
 	})

@@ -28,11 +28,13 @@
 // objective scores schedules from derived timing parameters alone and
 // sweeps thousands of scenarios in seconds.
 //
-// With -store DIR every evaluation outcome and every completed scenario is
-// persisted to a content-addressed disk store (internal/store); re-running
-// the same sweep against a warm store skips re-executing evaluations, and
-// -resume additionally skips whole completed scenarios, so an interrupted
-// sweep picks up where it was killed. -shard K/N runs only the K-th of N
+// With -store DIR every completed scenario is checkpointed to a
+// content-addressed disk store (internal/store), and -resume skips whole
+// completed scenarios, so an interrupted sweep picks up where it was
+// killed. Under -objective design every evaluation outcome is persisted
+// too, so a warm store skips re-executing designs even without -resume;
+// timing evaluations cost less than one store write and are never
+// persisted (a store holds one record per timing scenario). -shard K/N runs only the K-th of N
 // contiguous scenario ranges — independent processes sharing one -store
 // directory can split a grid, and a final -resume run assembles the full
 // table. All three paths print bit-identical reports.
@@ -100,7 +102,7 @@ func run(args []string, stdout io.Writer) error {
 	l2Ways := fs.Int("l2-ways", 0, "L2 associativity (0 = default 4)")
 	l2Hit := fs.Int("l2-hit", 0, "L2 hit cycles (0 = default 10)")
 	l2Exclusive := fs.Bool("l2-exclusive", false, "analyze the L2 as an exclusive victim cache")
-	storeDir := fs.String("store", "", "persist evaluations and scenario checkpoints to this directory")
+	storeDir := fs.String("store", "", "persist scenario checkpoints (and design-objective evaluations) to this directory")
 	storeSync := fs.Bool("store-sync", false, "fsync every store record before publishing it")
 	scrub := fs.Bool("scrub", false, "fsck the -store directory instead of sweeping; non-zero exit when bad records are found")
 	scrubRepair := fs.Bool("scrub-repair", false, "with -scrub: quarantine bad records and remove orphaned temporaries")

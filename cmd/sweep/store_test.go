@@ -61,8 +61,8 @@ func TestStoreColdWarmKillResumeGolden(t *testing.T) {
 }
 
 // TestStoreCSVStable pins the CSV rendering across cold and warm stores
-// (hits/misses are memory-tier counters, so they must not drift when the
-// disk tier starts answering).
+// (hits/misses are memory-tier counters: they must not drift whether the
+// warm run recomputes its timing points or, for design sweeps, loads them).
 func TestStoreCSVStable(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-n", "3", "-seed", "9", "-csv", "-store", dir}

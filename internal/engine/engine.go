@@ -12,13 +12,15 @@
 // bit-identical to a serial run. engine_test.go asserts this under -race.
 //
 // Sweeps are optionally persistent and resumable (Config.Store/Resume,
-// internal/store): every evaluation cache gains a disk-backed second tier
-// keyed by a content hash of the scenario's evaluation space, and each
-// completed scenario checkpoints a summary record so a killed sweep — or a
-// grid split across processes by contiguous index shards
-// (Config.ShardIndex/ShardCount) — resumes bit-identically, skipping
-// finished work. Determinism extends across the store: cold-store,
-// warm-store, and resumed runs render identical reports.
+// internal/store): each completed scenario checkpoints a summary record so
+// a killed sweep — or a grid split across processes by contiguous index
+// shards (Config.ShardIndex/ShardCount) — resumes bit-identically, skipping
+// finished work. Design-objective evaluation caches additionally gain a
+// disk-backed second tier keyed by a content hash of the scenario's
+// evaluation space; timing points are cheaper to recompute than to store
+// and stay in memory (Objective.persistsPoints). Determinism extends across
+// the store: cold-store, warm-store, and resumed runs render identical
+// reports.
 //
 // Consumers: cmd/sweep drives randomized sweeps from the command line,
 // cmd/served serves them over HTTP, and internal/exp regenerates the
@@ -61,6 +63,17 @@ const (
 	// large sweeps).
 	ObjectiveDesign
 )
+
+// persistsPoints reports whether one evaluated point of this objective
+// costs more to compute than a store operation costs to save or load it,
+// which is what earns the point a record in the persistent point tier. A
+// holistic design point (PSO plus polish) costs milliseconds. A timing
+// point — periodic, sporadic, joint or multi-core — costs from under a
+// microsecond to tens of microseconds: less than one local store Put and
+// far less than an HTTP store round trip (BenchmarkStorePut,
+// BenchmarkHTTPStoreRoundTrip), so timing scenarios persist only their
+// checkpoint record. Every objective's checkpoint is what resume reads.
+func (o Objective) persistsPoints() bool { return o == ObjectiveDesign }
 
 func (o Objective) String() string {
 	switch o {
@@ -233,10 +246,12 @@ type Result struct {
 // RunConfig attaches the optional persistence layer to a scenario run.
 // The zero value runs fully in memory.
 type RunConfig struct {
-	// Store, when non-nil, is the persistent tier (internal/store) shared
-	// by the scenario's evaluation caches — every executed outcome is
-	// written back, and outcomes already on disk are loaded instead of
-	// re-executed — and the home of the scenario's checkpoint record.
+	// Store, when non-nil, is the home of the scenario's checkpoint record
+	// (internal/store). For objectives whose points cost more to compute
+	// than to store (ObjectiveDesign, see Objective.persistsPoints) it is
+	// also the persistent tier of the evaluation caches: executed outcomes
+	// are written back, and outcomes already on disk are loaded instead of
+	// re-executed. Timing points are never written or read.
 	Store evalcache.Backend
 	// Resume short-circuits the whole scenario when its checkpoint record
 	// exists in Store, returning the recorded summary bit-identically.
@@ -256,11 +271,12 @@ func Run(scn Scenario) (*Result, error) {
 	return RunWith(scn, RunConfig{})
 }
 
-// RunWith executes one scenario with an optional persistent store behind
-// the evaluation caches. Results are bit-identical across a cold store, a
-// warm store, and a checkpoint resume: disk-tier loads are charged to
-// walks exactly like executions (see evalcache.Cache.Get), and checkpoint
-// records store objective values by their IEEE-754 bits.
+// RunWith executes one scenario with an optional persistent store for its
+// checkpoint record and, for design scenarios, its evaluation caches.
+// Results are bit-identical across a cold store, a warm store, and a
+// checkpoint resume: disk-tier loads are charged to walks exactly like
+// executions (see evalcache.Cache.Get), and checkpoint records store
+// objective values by their IEEE-754 bits.
 func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 	scn = scn.withDefaults()
 	if err := scn.Arrival.Validate(); err != nil {
@@ -389,8 +405,15 @@ func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 		return nil, nil
 	}
 
+	// The point tier: the store backs the evaluation caches only where a
+	// point is dearer to recompute than to store (Objective.persistsPoints).
+	var points evalcache.Backend
+	if scn.Objective.persistsPoints() {
+		points = rc.Store
+	}
+
 	if scn.Partitioned {
-		err := runJoint(scn, res, jointEval, starts, rc.Store, ns)
+		err := runJoint(scn, res, jointEval, starts, points, ns)
 		if err == nil && rc.Store != nil {
 			saveRecord(rc.Store, ckptKey, res)
 		}
@@ -402,9 +425,9 @@ func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 	// memoizes full *ScheduleEval results (shared with table regeneration);
 	// this outer layer stores only the small Outcome per schedule and is
 	// what provides deterministic per-walk evaluation attribution and the
-	// hit/miss statistics reported in Result. With a store attached it
-	// grows the persistent second tier.
-	cache := search.NewTieredCache(eval, rc.Store, ns)
+	// hit/miss statistics reported in Result. With a point tier it grows
+	// the persistent second tier.
+	cache := search.NewTieredCache(eval, points, ns)
 	hy, err := search.Hybrid(eval, res.Timings, starts, search.Options{
 		Tolerance: scn.Tolerance,
 		MaxM:      scn.MaxM,
@@ -437,9 +460,9 @@ func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 
 // runJoint is the Partitioned arm of Run: one joint cache spans the joint
 // hybrid walks and (optionally) the exhaustive joint baseline. With a
-// store attached the cache gains the persistent tier under the scenario's
-// evaluation namespace. For Cores > 1 it additionally runs the placement
-// co-design (and its uniform-split baseline) over a core-point cache
+// point tier (backend != nil) the cache persists outcomes under the
+// scenario's evaluation namespace. For Cores > 1 it additionally runs the
+// placement co-design (and its uniform-split baseline) over a core-point cache
 // sharing the same namespace — core-point keys carry a "c[...]|" prefix no
 // single-core key can produce.
 func runJoint(scn Scenario, res *Result, eval search.JointEvalFunc, starts []sched.Schedule, backend evalcache.Backend, ns string) error {
@@ -602,8 +625,8 @@ type Config struct {
 	// Workers bounds scenario-level concurrency (default 1 = serial).
 	Workers int
 
-	// Store, when non-nil, persists evaluation outcomes and per-scenario
-	// checkpoint records (see RunConfig.Store).
+	// Store, when non-nil, persists per-scenario checkpoint records and,
+	// for design scenarios, evaluation outcomes (see RunConfig.Store).
 	Store evalcache.Backend
 	// Resume skips scenarios whose checkpoint record is already in Store,
 	// loading the recorded summary instead of recomputing it.

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/ctrl"
 	"repro/internal/sched"
 	"repro/internal/store"
 )
@@ -90,24 +92,45 @@ func mustEqual(t *testing.T, label string, got, want []*Result) {
 	}
 }
 
-func TestSweepColdWarmResumeBitIdentical(t *testing.T) {
-	scenarios := storeGrid(4)
+// storedSweeps are one grid's runs against one store directory: cold, then
+// warm (a fresh store handle, no resume), then resumed from checkpoints.
+type storedSweeps struct {
+	cold, warm, resumed    []*Result
+	warmStore, resumeStore *store.Store
+}
+
+// sweepColdWarmResume runs scenarios memory-only and then cold, warm and
+// resumed against a fresh store directory, and asserts the tier-agnostic
+// half of the persistence contract: all four render bit-identically, the
+// cold run neither hits the disk tier nor resumes, and the resumed run
+// loads every scenario from its checkpoint record with the taskset
+// grafted back on. Callers assert what their objective's point tier does.
+func sweepColdWarmResume(t *testing.T, scenarios []Scenario) storedSweeps {
+	t.Helper()
 	baseline, err := Sweep(Config{Workers: 2}, scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	open := func() *store.Store {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	cold, err := Sweep(Config{Workers: 2, Store: st}, scenarios)
-	if err != nil {
-		t.Fatal(err)
+	run := func(st *store.Store, resume bool) []*Result {
+		rs, err := Sweep(Config{Workers: 2, Store: st, Resume: resume}, scenarios)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
 	}
-	mustEqual(t, "cold vs memory-only", cold, baseline)
-	for _, r := range cold {
+
+	var s storedSweeps
+	s.cold = run(open(), false)
+	mustEqual(t, "cold vs memory-only", s.cold, baseline)
+	for _, r := range s.cold {
 		if r.CacheStats.DiskHits != 0 {
 			t.Fatalf("cold run reported disk hits: %+v", r.CacheStats)
 		}
@@ -116,36 +139,16 @@ func TestSweepColdWarmResumeBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Warm store, fresh process (new Store handle), no resume: every
-	// evaluation loads from disk but all reports stay bit-identical.
-	st2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := Sweep(Config{Workers: 2, Store: st2}, scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqual(t, "warm vs cold", warm, cold)
-	diskHits := int64(0)
-	for _, r := range warm {
-		diskHits += r.CacheStats.DiskHits
-	}
-	if diskHits == 0 {
-		t.Fatal("warm run hit the disk tier zero times")
-	}
+	// Warm store, fresh process (new Store handle), no resume.
+	s.warmStore = open()
+	s.warm = run(s.warmStore, false)
+	mustEqual(t, "warm vs cold", s.warm, s.cold)
 
 	// Resume: whole scenarios load from checkpoint records.
-	st3, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Sweep(Config{Workers: 2, Store: st3, Resume: true}, scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqual(t, "resumed vs cold", resumed, cold)
-	for _, r := range resumed {
+	s.resumeStore = open()
+	s.resumed = run(s.resumeStore, true)
+	mustEqual(t, "resumed vs cold", s.resumed, s.cold)
+	for _, r := range s.resumed {
 		if !r.Resumed {
 			t.Fatalf("scenario %s did not resume from its checkpoint", r.Name)
 		}
@@ -153,8 +156,64 @@ func TestSweepColdWarmResumeBitIdentical(t *testing.T) {
 			t.Fatalf("resumed scenario %s lost its taskset graft", r.Name)
 		}
 	}
-	if st3.Stats().Hits == 0 {
+	if s.resumeStore.Stats().Hits == 0 {
 		t.Fatal("resume run read no records")
+	}
+	return s
+}
+
+// TestSweepColdWarmResumeBitIdentical pins the timing half of the point-tier
+// rule: a timing point is cheaper to recompute than to store, so a stored
+// timing sweep writes exactly one checkpoint record per scenario and a warm
+// run without resume recomputes every point, reading nothing from disk.
+func TestSweepColdWarmResumeBitIdentical(t *testing.T) {
+	scenarios := storeGrid(4)
+	s := sweepColdWarmResume(t, scenarios)
+	for _, r := range s.warm {
+		if r.CacheStats.DiskHits != 0 {
+			t.Fatalf("warm timing scenario %s loaded points from disk: %+v", r.Name, r.CacheStats)
+		}
+	}
+	if gets := s.warmStore.Stats().Gets; gets != 0 {
+		t.Fatalf("warm timing run without resume read the store %d times, want 0", gets)
+	}
+	// Records are only ever added, so this bounds every run's writes.
+	if n := s.resumeStore.Len(); n != len(scenarios) {
+		t.Fatalf("timing store holds %d records, want one checkpoint per scenario (%d)", n, len(scenarios))
+	}
+}
+
+// TestDesignSweepColdWarmResumeBitIdentical pins the design half: a design
+// point (PSO plus polish) costs more than a store operation, so a warm run
+// without resume loads every point from disk and executes none — through
+// the schedule-only cache and, for the Partitioned scenario, the joint one.
+func TestDesignSweepColdWarmResumeBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("design objective is slow for -short")
+	}
+	var budget ctrl.DesignOptions
+	budget.Swarm.Particles = 6
+	budget.Swarm.Iterations = 6
+	scenarios := []Scenario{
+		{
+			Name: "shared", Seed: 1, Apps: apps.CaseStudy(),
+			Objective: ObjectiveDesign, Budget: budget,
+			MaxM: 3, StartList: []sched.Schedule{{1, 1, 1}, {2, 1, 1}},
+		},
+		{
+			Name: "partitioned", Seed: 2, Apps: apps.CaseStudy(), Platform: fourWayPlatform(),
+			Objective: ObjectiveDesign, Budget: budget, Partitioned: true,
+			MaxM: 3, StartList: []sched.Schedule{{1, 1, 1}},
+		},
+	}
+	s := sweepColdWarmResume(t, scenarios)
+	for _, r := range s.warm {
+		if st := r.CacheStats; st.DiskHits == 0 || st.Executions() != 0 {
+			t.Fatalf("warm design scenario %s did not come from disk: %+v", r.Name, st)
+		}
+	}
+	if s.cold[1].JointHybrid == nil {
+		t.Fatal("partitioned scenario did not run the joint search")
 	}
 }
 
@@ -257,8 +316,9 @@ func TestSweepResumeSkipsRecomputation(t *testing.T) {
 }
 
 // TestSweepCorruptRecordRecomputes pins the corruption contract end to
-// end: damaging a checkpoint record and an outcome record degrades to
-// recomputation with identical results, never a panic or a wrong answer.
+// end: damaging every checkpoint record degrades to recomputation with
+// identical results, never a panic or a wrong answer. (Outcome records are
+// the evalcache decode path, pinned in internal/engine/evalcache.)
 func TestSweepCorruptRecordRecomputes(t *testing.T) {
 	scenarios := storeGrid(2)
 	dir := t.TempDir()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,16 +30,16 @@ func TestClusterChaosMatrix(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  chaos.Config
-		// armAfter > 0 blackholes the next burst requests (aborted with no
-		// response) once the store plane has served armAfter of them —
-		// mid-run, while workers are inside their shards.
-		armAfter int64
-		burst    int
+		// burst > 0 blackholes that many requests (aborted with no
+		// response) from the first checkpoint PUT on — mid-run, once a
+		// worker has finished its first scenario, however little store
+		// traffic the run makes.
+		burst int
 	}{
 		{name: "errors-30pct", cfg: chaos.Config{Seed: 101, ErrRate: 0.3}},
 		{name: "corrupt-reads-20pct", cfg: chaos.Config{Seed: 102, CorruptRate: 0.2}},
 		{name: "slow-and-flaky", cfg: chaos.Config{Seed: 103, ErrRate: 0.1, Latency: 2 * time.Millisecond}},
-		{name: "blackhole-burst", cfg: chaos.Config{Seed: 104, ErrRate: 0.1}, armAfter: 20, burst: 50},
+		{name: "blackhole-burst", cfg: chaos.Config{Seed: 104, ErrRate: 0.1}, burst: 50},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,11 +50,10 @@ func TestClusterChaosMatrix(t *testing.T) {
 			}
 			mw := chaos.NewMiddleware(httpstore.Handler(st), tc.cfg)
 			storePlane := http.Handler(mw)
-			if tc.armAfter > 0 {
-				var ops atomic.Int64
+			if tc.burst > 0 {
 				var armed atomic.Bool
 				storePlane = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					if ops.Add(1) == tc.armAfter && armed.CompareAndSwap(false, true) {
+					if r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/v1/store/r/") && armed.CompareAndSwap(false, true) {
 						mw.Blackhole(tc.burst)
 					}
 					mw.ServeHTTP(w, r)
@@ -99,7 +99,7 @@ func TestClusterChaosMatrix(t *testing.T) {
 			if tc.cfg.CorruptRate > 0 && s.Corruptions == 0 {
 				t.Fatalf("chaos stats %+v: CorruptRate %v never fired", s, tc.cfg.CorruptRate)
 			}
-			if tc.armAfter > 0 && s.Blackholed == 0 {
+			if tc.burst > 0 && s.Blackholed == 0 {
 				t.Fatalf("chaos stats %+v: blackhole burst never fired", s)
 			}
 		})

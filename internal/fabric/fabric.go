@@ -4,9 +4,10 @@
 // registers sweep jobs, splits each into contiguous shard ranges, and
 // leases shards to workers over a small HTTP protocol (/v1/shards/*);
 // workers (served -worker) run their leased range scenario by scenario,
-// publishing every evaluation outcome and per-scenario checkpoint into the
-// coordinator's shared store through the HTTP store backend
-// (internal/store/httpstore), and heartbeat their lease while they work.
+// publishing each scenario's checkpoint (and, for design sweeps, its
+// evaluation outcomes) into the coordinator's shared store through the
+// HTTP store backend (internal/store/httpstore), and heartbeat their lease
+// while they work.
 //
 // The lease state machine per shard:
 //

@@ -18,7 +18,8 @@ import (
 // Worker is one cluster compute process: it leases shards from a
 // coordinator, runs each leased scenario range through the sweep engine
 // with the coordinator's store mounted as its persistent tier (every
-// outcome and checkpoint published over HTTP), heartbeats while working,
+// checkpoint, and every design-objective outcome, published over HTTP),
+// heartbeats while working,
 // and marks shards complete. cmd/served's -worker mode wraps exactly this.
 //
 // A worker holds no durable state: killing it mid-shard loses nothing but

@@ -2,9 +2,11 @@
 // (store.Backend): a client that speaks a coordinator's /v1/store/{key}
 // endpoints, and the matching HTTP handler the coordinator mounts in front
 // of its local disk store. Together they let a sweep worker's persistent
-// tier live on another machine — every evaluation outcome and scenario
-// checkpoint a worker writes lands in the coordinator's content-addressed
-// store, and warm records answer over the wire instead of recomputing.
+// tier live on another machine — every scenario checkpoint a worker
+// writes, and every design-objective evaluation outcome, lands in the
+// coordinator's content-addressed store, and warm records answer over the
+// wire instead of recomputing. (Timing outcomes cost less to recompute
+// than one round trip, so the engine never sends them.)
 //
 // The client preserves the store contract exactly:
 //

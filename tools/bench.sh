@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 
 count="${BENCH_COUNT:-5}"
 benchtime="${BENCH_TIME:-}"
-pattern="${BENCH_PATTERN:-^(BenchmarkClosedLoopSimulation|BenchmarkDesignHolistic|BenchmarkSearchHybrid|BenchmarkJointCaseStudy|BenchmarkMulticoreCoDesign|BenchmarkSweepParallel|BenchmarkHybridSharedCache|BenchmarkWCETAnalysis|BenchmarkCacheSimulation|BenchmarkExpm)$}"
+pattern="${BENCH_PATTERN:-^(BenchmarkClosedLoopSimulation|BenchmarkDesignHolistic|BenchmarkSearchHybrid|BenchmarkJointCaseStudy|BenchmarkMulticoreCoDesign|BenchmarkSweepParallel|BenchmarkHybridSharedCache|BenchmarkWCETAnalysis|BenchmarkCacheSimulation|BenchmarkExpm|BenchmarkStorePut|BenchmarkStoreGet|BenchmarkHTTPStoreRoundTrip|BenchmarkJournalAppend|BenchmarkSweepStored)$}"
 out="${1:-}"
 
 args=(test -run '^$' -bench "$pattern" -benchmem -count "$count")
