@@ -565,6 +565,84 @@ func BenchmarkWCETAnalysis(b *testing.B) {
 	}
 }
 
+// BenchmarkWCETAnalysisL2 is BenchmarkWCETAnalysis on the L1+L2 platform
+// variant: the two-level must/may analysis plus the exact two-level
+// worst-branch simulation.
+func BenchmarkWCETAnalysisL2(b *testing.B) {
+	prog := apps.CaseStudy()[0].Program
+	plat := engine.PlatformVariants()[2]
+	if !plat.Hier.Enabled() {
+		b.Fatal("platform variant 2 is no longer the L1+L2 platform")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wcet.Analyze(prog, plat); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchTimingBox draws the random taskset of a timing-sweep scenario and
+// the idle-feasible schedules of its maxM-6 box, the points a timing
+// search scores.
+func benchTimingBox(b *testing.B) ([]sched.AppTiming, []float64, []sched.Schedule) {
+	timings, weights, err := engine.RandomTaskset(rand.New(rand.NewSource(7)), engine.Scenario{Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	box, err := sched.EnumerateFeasible(timings, 6)
+	if err != nil || len(box) == 0 {
+		b.Fatalf("feasible box: %d schedules, err %v", len(box), err)
+	}
+	return timings, weights, box
+}
+
+// BenchmarkSporadicEval measures one ObjectiveTiming score per op, cycling
+// over the feasible box of one taskset: the sporadic event timeline
+// (jitter 0.25, 64 cycles) beside the closed-form burst-gap proxy it
+// replaces under jitter.
+func BenchmarkSporadicEval(b *testing.B) {
+	timings, weights, box := benchTimingBox(b)
+	arr := sched.Arrival{Model: sched.ArrivalSporadic, Jitter: 0.25, Seed: 11}.WithDefaults()
+	for _, c := range []struct {
+		name string
+		eval search.EvalFunc
+	}{
+		{"closed-form", engine.TimingEval(timings, weights)},
+		{"sporadic", engine.SporadicTimingEval(timings, weights, arr)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.eval(box[i%len(box)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEvalCacheHit measures the memory-hit path of the evaluation
+// cache: every schedule of the box is already evaluated, so each op is one
+// key rendering, shard lookup and coalescing check.
+func BenchmarkEvalCacheHit(b *testing.B) {
+	timings, weights, box := benchTimingBox(b)
+	cache := search.NewCache(engine.TimingEval(timings, weights))
+	for _, s := range box {
+		if _, _, err := cache.Get(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, executed, err := cache.Get(box[i%len(box)]); err != nil || executed {
+			b.Fatalf("hit path executed=%v err=%v", executed, err)
+		}
+	}
+}
+
 // closedLoopFixture assembles the plant, modes, and stabilizing gains of the
 // closed-loop simulation benchmarks.
 func closedLoopFixture(b *testing.B) (*ctrl.SimPlan, []ctrl.Mode, ctrl.Gains, ctrl.SimOptions) {

@@ -267,6 +267,9 @@ type strKey string
 
 func (k strKey) Key() string { return string(k) }
 
+// AppendKey appends the string itself: the key is the string.
+func (k strKey) AppendKey(dst []byte) []byte { return append(dst, k...) }
+
 // server owns the shared caches: frameworks per budget (each framework
 // memoizes full schedule evaluations), design summaries and rendered
 // tables both two-tiered onto the store. All three coalesce concurrent

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/store"
 )
 
@@ -42,6 +43,20 @@ func getJSON(t *testing.T, url string, out any) int {
 		}
 	}
 	return resp.StatusCode
+}
+
+// TestStrKeyAppendKey: served's cache keys render through AppendKey as
+// the very string Key returns, so design and table records keep their
+// store keys.
+func TestStrKeyAppendKey(t *testing.T) {
+	for _, k := range []strKey{"", "IV", designCacheKey("tiny", sched.JointSchedule{M: sched.Schedule{3, 2, 3}, W: sched.Ways{1, 2, 1}})} {
+		if got := string(k.AppendKey(nil)); got != k.Key() {
+			t.Errorf("AppendKey %q, Key %q", got, k.Key())
+		}
+	}
+	if got, want := designCacheKey("tiny", sched.SharedPoint(sched.Schedule{1, 1, 1})).Key(), "b=tiny|(1, 1, 1)"; got != want {
+		t.Errorf("design key %q, want %q", got, want)
+	}
 }
 
 func TestServedHealthz(t *testing.T) {

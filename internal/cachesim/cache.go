@@ -169,7 +169,8 @@ type way struct {
 // Cache is a concrete simulated cache instance.
 type Cache struct {
 	cfg   Config
-	sets  [][]way
+	lines []way    // every way of every set, set-major: the one allocation of the contents
+	sets  [][]way  // per-set views into lines
 	plru  []uint64 // per-set PLRU tree bits
 	clock int64
 	stats Stats
@@ -185,14 +186,19 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{cfg: cfg}
+	return newCache(cfg), nil
+}
+
+// newCache builds an empty cache for a validated configuration.
+func newCache(cfg Config) *Cache {
+	c := &Cache{cfg: cfg, geom: cfg.Geometry()}
+	c.lines = make([]way, cfg.Lines)
 	c.sets = make([][]way, cfg.Sets())
 	for i := range c.sets {
-		c.sets[i] = make([]way, cfg.Ways)
+		c.sets[i] = c.lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	c.plru = make([]uint64, cfg.Sets())
-	c.geom = cfg.Geometry()
-	return c, nil
+	return c
 }
 
 // locate splits addr into its memory line, cache set, and tag using the
@@ -223,24 +229,29 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush invalidates all cache contents (cold cache) and keeps statistics.
 func (c *Cache) Flush() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = way{}
-		}
-		c.plru[i] = 0
-	}
+	clear(c.lines)
+	clear(c.plru)
 }
 
 // Clone returns a deep copy of the cache including contents, replacement
 // state, and statistics.
 func (c *Cache) Clone() *Cache {
-	n := &Cache{cfg: c.cfg, clock: c.clock, stats: c.stats, geom: c.geom}
-	n.sets = make([][]way, len(c.sets))
-	for i := range c.sets {
-		n.sets[i] = append([]way(nil), c.sets[i]...)
-	}
-	n.plru = append([]uint64(nil), c.plru...)
+	n := newCache(c.cfg)
+	n.CopyFrom(c)
 	return n
+}
+
+// CopyFrom overwrites c with src's contents, replacement state, and
+// statistics, reusing c's storage: a Clone without the allocation, for
+// callers that fork one cache state many times. Both caches must have the
+// same configuration.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.cfg != src.cfg {
+		panic(fmt.Sprintf("cachesim: CopyFrom %+v into %+v", src.cfg, c.cfg))
+	}
+	copy(c.lines, src.lines)
+	copy(c.plru, src.plru)
+	c.clock, c.stats = src.clock, src.stats
 }
 
 // Contains reports whether the line containing addr is currently cached,

@@ -155,6 +155,17 @@ func (c *HierCache) Clone() *HierCache {
 	return &HierCache{l1: c.l1.Clone(), l2: c.l2.Clone(), excl: c.excl, l2hit: c.l2hit, stats: c.stats}
 }
 
+// CopyFrom overwrites both levels and the statistics of c with src's,
+// reusing c's storage. Both hierarchies must have the same configuration.
+func (c *HierCache) CopyFrom(src *HierCache) {
+	if c.excl != src.excl || c.l2hit != src.l2hit {
+		panic("cachesim: HierCache.CopyFrom across hierarchy configurations")
+	}
+	c.l1.CopyFrom(src.l1)
+	c.l2.CopyFrom(src.l2)
+	c.stats = src.stats
+}
+
 // Stats returns the hierarchy-level statistics: Hits counts accesses served
 // by either level, Misses those that went to memory.
 func (c *HierCache) Stats() Stats { return c.stats }

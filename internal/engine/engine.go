@@ -139,7 +139,7 @@ type Scenario struct {
 
 	// Arrival selects the burst release model. The zero value is the
 	// paper's periodic model; a sporadic model with nonzero jitter scores
-	// schedules against the heap-driven event timeline
+	// schedules against the simulated FCFS event timeline
 	// (sched.SporadicTimeline) instead of the closed-form burst gap.
 	// Sporadic with zero jitter is normalized back to the zero value, so
 	// it is bit-identical to — and shares every store key with — the
@@ -745,15 +745,15 @@ func TimingEval(timings []sched.AppTiming, weights []float64) search.EvalFunc {
 	}
 }
 
-// sporadicScore is timingScore over the heap-driven sporadic timeline:
-// the same P_i = 1 - (h_bar + h_max) / (2 t_idle) closed form, but with
-// the mean and worst sampling periods measured from the simulated jittered
-// timeline instead of derived from the periodic burst gap. Schedules whose
+// sporadicScore is timingScore over the sporadic event timeline: the same
+// P_i = 1 - (h_bar + h_max) / (2 t_idle) closed form, but with the mean and
+// worst sampling periods measured from the simulated jittered timeline of
+// plan instead of derived from the periodic burst gap. Schedules whose
 // periodic derivation is already idle-infeasible are rejected up front
 // (jitter only delays releases, it never shortens periods); a schedule
 // whose *observed* worst period overruns the idle budget scores as
 // infeasible too.
-func sporadicScore(timings []sched.AppTiming, weights []float64, arr sched.Arrival, s sched.Schedule) (search.Outcome, error) {
+func sporadicScore(plan *sched.SporadicPlan, timings []sched.AppTiming, weights []float64, s sched.Schedule) (search.Outcome, error) {
 	ok, err := sched.IdleFeasible(timings, s)
 	if err != nil {
 		return search.Outcome{}, err
@@ -761,11 +761,10 @@ func sporadicScore(timings []sched.AppTiming, weights []float64, arr sched.Arriv
 	if !ok {
 		return search.Outcome{Pall: -1, Feasible: false}, nil
 	}
-	events, err := sched.SporadicTimeline(timings, s, arr)
+	stats, err := plan.Stats(s)
 	if err != nil {
 		return search.Outcome{}, err
 	}
-	stats := sched.SporadicStats(timings, s, events)
 	pall := 0.0
 	feasible := true
 	for i, a := range timings {
@@ -788,10 +787,12 @@ func sporadicScore(timings []sched.AppTiming, weights []float64, arr sched.Arriv
 
 // SporadicTimingEval builds the ObjectiveTiming evaluator under a sporadic
 // arrival model: deterministic for fixed (timings, weights, arr), like
-// every other evaluator.
+// every other evaluator. The jitter draws depend on arr alone, so they are
+// drawn once here and shared read-only by every call.
 func SporadicTimingEval(timings []sched.AppTiming, weights []float64, arr sched.Arrival) search.EvalFunc {
+	plan := sched.NewSporadicPlan(timings, arr)
 	return func(s sched.Schedule) (search.Outcome, error) {
-		return sporadicScore(timings, weights, arr, s)
+		return sporadicScore(plan, timings, weights, s)
 	}
 }
 
@@ -805,7 +806,8 @@ func JointTimingEval(pt sched.PartitionTimings, weights []float64) search.JointE
 		if !j.W.Valid(pt.Apps(), pt.TotalWays()) {
 			return search.Outcome{Pall: -1, Feasible: false}, nil
 		}
-		timings, err := pt.Timings(j)
+		var buf [8]sched.AppTiming
+		timings, err := pt.AppendTimings(buf[:0], j)
 		if err != nil {
 			return search.Outcome{}, err
 		}

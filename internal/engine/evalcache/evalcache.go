@@ -9,7 +9,10 @@
 // it can back the search layer (sched.Schedule -> search.Outcome), the
 // framework layer (sched.Schedule -> *core.ScheduleEval), and the joint
 // cache-partition co-design layer (sched.JointSchedule -> outcome) without
-// import cycles. Any key type exposing a canonical Key() string works.
+// import cycles. Any key type that renders a canonical key into a byte
+// slice (Keyed) works. A lookup renders the key into a recycled buffer and
+// probes the map with it, so a memory hit allocates nothing; the key string
+// is allocated once, when its entry is inserted.
 //
 // A cache optionally carries a second, persistent tier (NewTiered): on a
 // memory miss the Backend — in production internal/store's disk store — is
@@ -31,13 +34,24 @@ import (
 	"sync/atomic"
 )
 
-// Keyed is the key contract: Key returns a canonical string identity for
-// the evaluation input (equal inputs must render equal keys, distinct
-// inputs distinct keys). sched.Schedule and sched.JointSchedule implement
-// it.
+// Keyed is the key contract: AppendKey appends a canonical identity of the
+// evaluation input to dst and returns the extended slice (equal inputs must
+// render equal bytes, distinct inputs distinct bytes). The rendered bytes
+// are the key: they address memory entries, and namespace + key addresses
+// the backend, so an implementation must keep rendering exactly the bytes
+// of the type's Key() string. sched.Schedule, sched.JointSchedule and
+// search.CorePoint implement it.
 type Keyed interface {
-	Key() string
+	AppendKey(dst []byte) []byte
 }
+
+// keyBufs recycles the buffers lookups render keys into. AppendKey is
+// called through the type parameter, which escape analysis cannot see
+// through, so a local array would be heap-allocated on every lookup.
+var keyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 64)
+	return &b
+}}
 
 // DefaultShards is the shard count used when NewCache is given n <= 0.
 // Sixteen stripes keep lock contention negligible for the worker-pool sizes
@@ -66,12 +80,12 @@ type Codec[V any] struct {
 }
 
 // entry is one memoized evaluation. The first requester of a key creates
-// the entry and evaluates; later requesters block on done, so duplicate
-// concurrent evaluations of the same schedule never run.
+// the entry with the WaitGroup at one and evaluates; later requesters Wait,
+// so duplicate concurrent evaluations of the same schedule never run.
 type entry[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
+	sync.WaitGroup
+	val V
+	err error
 }
 
 type shard[V any] struct {
@@ -121,8 +135,8 @@ func NewTiered[K Keyed, V any](n int, eval func(K) (V, error), b Backend, namesp
 	return c
 }
 
-func (c *Cache[K, V]) shardFor(key string) *shard[V] {
-	return &c.shards[maphash.String(c.seed, key)%uint64(len(c.shards))]
+func (c *Cache[K, V]) shardFor(key []byte) *shard[V] {
+	return &c.shards[maphash.Bytes(c.seed, key)%uint64(len(c.shards))]
 }
 
 // Get returns the memoized evaluation of s, computing it on first request.
@@ -137,30 +151,36 @@ func (c *Cache[K, V]) shardFor(key string) *shard[V] {
 // is what keeps per-walk counts, and hence all reported tables,
 // bit-identical between cold-store and warm-store runs.
 func (c *Cache[K, V]) Get(s K) (V, bool, error) {
-	key := s.Key()
-	sh := c.shardFor(key)
+	bp := keyBufs.Get().(*[]byte)
+	kb := s.AppendKey((*bp)[:0])
+	*bp = kb
+	sh := c.shardFor(kb)
 	sh.mu.Lock()
-	if e, ok := sh.m[key]; ok {
+	if e, ok := sh.m[string(kb)]; ok {
 		sh.mu.Unlock()
-		<-e.done
+		keyBufs.Put(bp)
+		e.Wait()
 		c.hits.Add(1)
 		return e.val, false, e.err
 	}
-	e := &entry[V]{done: make(chan struct{})}
+	key := string(kb)
+	e := &entry[V]{}
+	e.Add(1)
 	sh.m[key] = e
 	sh.mu.Unlock()
+	keyBufs.Put(bp)
 
 	c.misses.Add(1)
-	// Close done even if the evaluator panics: otherwise the entry would
-	// wedge every future waiter on this key. A panicking evaluation is
-	// memoized as an error so coalesced waiters fail loudly instead of
+	// Release waiters even if the evaluator panics: otherwise the entry
+	// would wedge every future waiter on this key. A panicking evaluation
+	// is memoized as an error so coalesced waiters fail loudly instead of
 	// receiving a zero value.
 	finished := false
 	defer func() {
 		if !finished {
 			e.err = fmt.Errorf("evalcache: evaluation of %s panicked", key)
 		}
-		close(e.done)
+		e.Done()
 	}()
 	if c.backend != nil {
 		if data, ok := c.backend.Get(c.namespace + key); ok {

@@ -9,7 +9,7 @@ import (
 
 type tkey string
 
-func (k tkey) Key() string { return string(k) }
+func (k tkey) AppendKey(dst []byte) []byte { return append(dst, k...) }
 
 // memBackend is an in-memory Backend with fault injection.
 type memBackend struct {

@@ -82,7 +82,7 @@ func TestSporadicZeroJitterMatchesPeriodic(t *testing.T) {
 }
 
 // TestSporadicSweepParallelMatchesSerial extends the determinism guarantee
-// to jittered arrivals: the heap-driven timeline is seeded, so parallel,
+// to jittered arrivals: the event timeline is seeded, so parallel,
 // serial, and store-resumed sweeps all agree bit-for-bit.
 func TestSporadicSweepParallelMatchesSerial(t *testing.T) {
 	arr := sched.Arrival{Model: sched.ArrivalSporadic, Jitter: 0.2, Seed: 7, Cycles: 32}

@@ -8,17 +8,20 @@
 // where T is the nominal schedule period, phase_i the application's burst
 // offset within it, and u_{k,i} uniform in [0, 1) drawn from a fixed seed —
 // releases never arrive early, only up to Jitter*T late. Released bursts
-// are served FCFS and non-preemptively by a heap-driven event loop
-// (SporadicTimeline), which replaces the closed-form burst-gap timing when
-// jitter is nonzero. With zero jitter the event loop reproduces the
+// are served FCFS and non-preemptively, in (release, app, cycle) order, by
+// one event loop (SporadicPlan.Timeline, over jitter drawn once per
+// taskset), which replaces the closed-form burst-gap timing when jitter is
+// nonzero. With zero jitter the event loop reproduces the
 // closed-form Timeline up to floating-point accumulation (the engine
 // normalizes that case back to the periodic path, keeping it bit-exact).
 package sched
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 )
 
 // ArrivalModel selects how bursts of a schedule are released over time.
@@ -94,29 +97,121 @@ type BurstEvent struct {
 	End     float64
 }
 
-// releaseEvent orders pending burst releases: earliest release first, ties
-// broken by application then cycle so the timeline is deterministic.
-type releaseEvent struct {
-	release float64
-	app     int
-	cycle   int
+// SporadicPlan is the schedule-independent part of a sporadic timeline over
+// a fixed taskset: the checked inputs and the seeded jitter draws. The draws
+// u_{k,i} depend only on (Seed, Cycles, len(apps)), so a plan draws them once
+// and every Timeline call shares them read-only; a plan is safe for
+// concurrent use.
+type SporadicPlan struct {
+	apps []AppTiming
+	arr  Arrival
+	u    []float64 // u[k*len(apps)+i] is the draw of app i's burst k
+	err  error     // the first failed check of apps or arr, returned by every call
+
+	scratch sync.Pool // *[]BurstEvent timelines Stats reduces and recycles
 }
 
-type releaseHeap []releaseEvent
-
-func (h releaseHeap) Len() int { return len(h) }
-func (h releaseHeap) Less(i, j int) bool {
-	switch {
-	case h[i].release != h[j].release:
-		return h[i].release < h[j].release
-	case h[i].app != h[j].app:
-		return h[i].app < h[j].app
+// NewSporadicPlan checks apps and arr once and draws every release jitter
+// up front, cycle-outer/application-inner, so the draw order (and hence
+// every timeline) is a pure function of the seed. A failed check does not
+// fail here: every Timeline call returns it, after the schedule check, in
+// the order SporadicTimeline reports errors.
+func NewSporadicPlan(apps []AppTiming, arr Arrival) *SporadicPlan {
+	p := &SporadicPlan{apps: apps, arr: arr.WithDefaults()}
+	for _, a := range apps {
+		if err := a.Validate(); err != nil {
+			p.err = err
+			return p
+		}
 	}
-	return h[i].cycle < h[j].cycle
+	if err := p.arr.Validate(); err != nil {
+		p.err = err
+		return p
+	}
+	rng := rand.New(rand.NewSource(p.arr.Seed))
+	p.u = make([]float64, len(apps)*p.arr.Cycles)
+	for j := range p.u {
+		p.u[j] = rng.Float64()
+	}
+	return p
 }
-func (h releaseHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *releaseHeap) Push(x any)   { *h = append(*h, x.(releaseEvent)) }
-func (h *releaseHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// Timeline simulates the plan's schedule periods of jittered burst releases
+// under schedule s, served FCFS and non-preemptively, and returns the
+// executed bursts in start order; see SporadicTimeline.
+func (p *SporadicPlan) Timeline(s Schedule) ([]BurstEvent, error) {
+	return p.timeline(s, make([]BurstEvent, 0, len(p.u)))
+}
+
+// Stats is SporadicStats of Timeline(s). The timeline itself is not kept,
+// so its buffer is recycled across calls: scoring a schedule allocates only
+// the statistics.
+func (p *SporadicPlan) Stats(s Schedule) ([]ArrivalStats, error) {
+	buf, _ := p.scratch.Get().(*[]BurstEvent)
+	if buf == nil {
+		buf = new([]BurstEvent)
+	}
+	events, err := p.timeline(s, (*buf)[:0])
+	if err != nil {
+		return nil, err
+	}
+	stats := SporadicStats(p.apps, s, events)
+	*buf = events
+	p.scratch.Put(buf)
+	return stats, nil
+}
+
+// timeline is the one event loop behind Timeline and Stats: it appends the
+// executed bursts of s, in start order, to events.
+func (p *SporadicPlan) timeline(s Schedule, events []BurstEvent) ([]BurstEvent, error) {
+	if !s.Valid(len(p.apps)) {
+		return nil, fmt.Errorf("sched: schedule %v invalid for %d applications", s, len(p.apps))
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+
+	period := PeriodLength(p.apps, s)
+	phase := make([]float64, len(p.apps))
+	for i := 1; i < len(p.apps); i++ {
+		phase[i] = phase[i-1] + BurstLength(p.apps[i-1], s[i-1])
+	}
+
+	// Releases are computed from k*period, not accumulated, so jitter never
+	// drifts the nominal grid. Sorting by (release, app, cycle) — a strict
+	// total order, so the result is unique — gives the FCFS service order.
+	for k := 0; k < p.arr.Cycles; k++ {
+		for i := range p.apps {
+			u := p.u[k*len(p.apps)+i]
+			events = append(events, BurstEvent{
+				App:     i,
+				Cycle:   k,
+				Release: float64(k)*period + phase[i] + u*p.arr.Jitter*period,
+			})
+		}
+	}
+	slices.SortFunc(events, func(a, b BurstEvent) int {
+		switch {
+		case a.Release != b.Release:
+			return cmp.Compare(a.Release, b.Release)
+		case a.App != b.App:
+			return a.App - b.App
+		}
+		return a.Cycle - b.Cycle
+	})
+
+	t := 0.0
+	for j := range events {
+		ev := &events[j]
+		if ev.Release > t {
+			t = ev.Release
+		}
+		ev.Start = t
+		t += BurstLength(p.apps[ev.App], s[ev.App])
+		ev.End = t
+	}
+	return events, nil
+}
 
 // SporadicTimeline simulates arr.Cycles schedule periods of jittered burst
 // releases served FCFS and non-preemptively, and returns the executed
@@ -124,57 +219,10 @@ func (h *releaseHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *
 // cold-cache WCET (under jitter, other applications' bursts can interleave
 // arbitrarily between two bursts of one application, so no cross-burst
 // cache reuse is assumed). The same (apps, s, arr) always yields the same
-// timeline.
+// timeline. Callers timing many schedules of one taskset build one
+// SporadicPlan instead, which draws the jitter once.
 func SporadicTimeline(apps []AppTiming, s Schedule, arr Arrival) ([]BurstEvent, error) {
-	if !s.Valid(len(apps)) {
-		return nil, fmt.Errorf("sched: schedule %v invalid for %d applications", s, len(apps))
-	}
-	for _, a := range apps {
-		if err := a.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	arr = arr.WithDefaults()
-	if err := arr.Validate(); err != nil {
-		return nil, err
-	}
-
-	period := PeriodLength(apps, s)
-	phase := make([]float64, len(apps))
-	for i := 1; i < len(apps); i++ {
-		phase[i] = phase[i-1] + BurstLength(apps[i-1], s[i-1])
-	}
-
-	// Draw every release up front, cycle-outer/application-inner, so the
-	// draw order (and hence the whole timeline) is a pure function of the
-	// seed. Releases are computed from k*period, not accumulated, so jitter
-	// never drifts the nominal grid.
-	rng := rand.New(rand.NewSource(arr.Seed))
-	pending := make(releaseHeap, 0, len(apps)*arr.Cycles)
-	for k := 0; k < arr.Cycles; k++ {
-		for i := range apps {
-			u := rng.Float64()
-			pending = append(pending, releaseEvent{
-				release: float64(k)*period + phase[i] + u*arr.Jitter*period,
-				app:     i,
-				cycle:   k,
-			})
-		}
-	}
-	heap.Init(&pending)
-
-	events := make([]BurstEvent, 0, len(pending))
-	t := 0.0
-	for pending.Len() > 0 {
-		ev := heap.Pop(&pending).(releaseEvent)
-		if ev.release > t {
-			t = ev.release
-		}
-		start := t
-		t += BurstLength(apps[ev.app], s[ev.app])
-		events = append(events, BurstEvent{App: ev.app, Cycle: ev.cycle, Release: ev.release, Start: start, End: t})
-	}
-	return events, nil
+	return NewSporadicPlan(apps, arr).Timeline(s)
 }
 
 // ArrivalStats summarizes the sampling behaviour one application actually

@@ -50,7 +50,7 @@ func TestArrivalValidate(t *testing.T) {
 	}
 }
 
-// TestSporadicZeroJitterMatchesClosedForm: with zero jitter the heap-driven
+// TestSporadicZeroJitterMatchesClosedForm: with zero jitter the event
 // timeline reproduces the closed-form periodic layout — every burst of
 // cycle k starts at k*T + phase_i up to floating-point accumulation.
 func TestSporadicZeroJitterMatchesClosedForm(t *testing.T) {

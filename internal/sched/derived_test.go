@@ -160,6 +160,41 @@ func TestScheduleStringMatchesReference(t *testing.T) {
 	}
 }
 
+// TestAppendKeyMatchesKey: the byte rendering the evaluation caches look up
+// (AppendKey) is exactly the Key string that names memory entries and
+// store records — for schedules, shared joint points (keyed like their
+// schedule) and partitioned joint points — and appends after any prefix
+// without touching it.
+func TestAppendKeyMatchesKey(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	check := func(what string, k interface {
+		Key() string
+		AppendKey([]byte) []byte
+	}, want string) {
+		t.Helper()
+		if got := string(k.AppendKey(nil)); got != k.Key() || got != want {
+			t.Fatalf("%s: AppendKey %q, Key %q, want %q", what, got, k.Key(), want)
+		}
+		if got := string(k.AppendKey([]byte("ns/"))); got != "ns/"+want {
+			t.Fatalf("%s: AppendKey after a prefix = %q", what, got)
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(6)
+		s := make(Schedule, n)
+		w := make(Ways, n)
+		for i := range s {
+			s[i] = r.Intn(1000) - 10
+			w[i] = r.Intn(20)
+		}
+		check("schedule", s, s.String())
+		check("shared point", SharedPoint(s), s.String())
+		check("partitioned point", JointSchedule{M: s, W: w}, s.String()+"|w"+w.String())
+	}
+	check("literal schedule", Schedule{3, 1, 12}, "(3, 1, 12)")
+	check("literal partitioned point", JointSchedule{M: Schedule{2, 1}, W: Ways{3, 1}}, "(2, 1)|w[3 1]")
+}
+
 // TestIdleFeasibleAllocFree pins that the hot predicate does not allocate.
 func TestIdleFeasibleAllocFree(t *testing.T) {
 	apps := randomTimings(rand.New(rand.NewSource(4)), 3)

@@ -19,11 +19,7 @@
 // build it from WCET analyses.
 package sched
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Ways is a cache partition in way counts: entry i is the number of
 // dedicated ways application i owns. An empty Ways means the applications
@@ -79,23 +75,18 @@ func (w Ways) Valid(n, totalWays int) bool {
 }
 
 // String renders the partition as "[w1 w2 ... wn]", or "shared" when empty.
-// Like Schedule.String it doubles as cache-key material, so it builds the
-// string directly.
+// Like Schedule.String it doubles as cache-key material.
 func (w Ways) String() string {
+	var buf [64]byte
+	return string(w.appendTo(buf[:0]))
+}
+
+// appendTo appends the bytes of String to dst.
+func (w Ways) appendTo(dst []byte) []byte {
 	if len(w) == 0 {
-		return "shared"
+		return append(dst, "shared"...)
 	}
-	var b strings.Builder
-	b.Grow(2 + 3*len(w))
-	b.WriteByte('[')
-	for i, v := range w {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(strconv.Itoa(v))
-	}
-	b.WriteByte(']')
-	return b.String()
+	return appendInts(dst, '[', " ", ']', w)
 }
 
 // EvenWays splits totalWays evenly over n applications (floor division),
@@ -138,10 +129,18 @@ func (j JointSchedule) Equal(o JointSchedule) bool {
 // their plain schedule, so a joint cache over the shared subspace coincides
 // with the schedule-only cache keying.
 func (j JointSchedule) Key() string {
+	var buf [64]byte
+	return string(j.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the bytes of Key to dst: "(m1, ..., mn)" for a shared
+// point, "(m1, ..., mn)|w[w1 ... wn]" for a partitioned one.
+func (j JointSchedule) AppendKey(dst []byte) []byte {
+	dst = j.M.AppendKey(dst)
 	if j.Shared() {
-		return j.M.Key()
+		return dst
 	}
-	return j.M.Key() + "|w" + j.W.String()
+	return j.W.appendTo(append(dst, "|w"...))
 }
 
 // String renders the point as "(m1, ..., mn)" or "(m1, ..., mn)x[w1 ... wn]".
@@ -203,14 +202,24 @@ func (pt PartitionTimings) Timings(j JointSchedule) ([]AppTiming, error) {
 	if j.Shared() {
 		return pt.Shared, nil
 	}
+	return pt.AppendTimings(make([]AppTiming, 0, pt.Apps()), j)
+}
+
+// AppendTimings is Timings for a partitioned point, appending the timing
+// vector to dst instead of allocating it; a shared point returns the
+// shared taskset itself and leaves dst alone. Evaluators that score one
+// point and drop its vector pass a stack buffer.
+func (pt PartitionTimings) AppendTimings(dst []AppTiming, j JointSchedule) ([]AppTiming, error) {
+	if j.Shared() {
+		return pt.Shared, nil
+	}
 	if !j.W.Valid(pt.Apps(), pt.TotalWays()) {
 		return nil, fmt.Errorf("sched: partition %v invalid for %d apps on %d ways", j.W, pt.Apps(), pt.TotalWays())
 	}
-	out := make([]AppTiming, pt.Apps())
 	for i, w := range j.W {
-		out[i] = pt.ByWays[w-1][i]
+		dst = append(dst, pt.ByWays[w-1][i])
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Feasible checks the joint feasibility of a point: the way budget

@@ -82,24 +82,32 @@ func (s Schedule) Valid(n int) bool {
 }
 
 // String renders the schedule as "(m1, m2, ..., mn)". It is also the
-// memoization key of every evaluation cache, so it builds the string
-// directly instead of routing each entry through fmt.
+// memoization key of every evaluation cache (see AppendKey).
 func (s Schedule) String() string {
-	var b strings.Builder
-	b.Grow(2 + 4*len(s))
-	b.WriteByte('(')
-	for i, m := range s {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(strconv.Itoa(m))
-	}
-	b.WriteByte(')')
-	return b.String()
+	var buf [64]byte
+	return string(s.AppendKey(buf[:0]))
 }
 
 // Key returns a map key for memoizing schedule evaluations.
 func (s Schedule) Key() string { return s.String() }
+
+// AppendKey appends the schedule's key, the bytes of String, to dst. The
+// evaluation caches render keys through it into reused buffers, so a
+// memoized lookup allocates nothing.
+func (s Schedule) AppendKey(dst []byte) []byte { return appendInts(dst, '(', ", ", ')', s) }
+
+// appendInts appends xs to dst as open x1 sep x2 ... close, formatting each
+// integer directly instead of routing it through fmt.
+func appendInts(dst []byte, open byte, sep string, close byte, xs []int) []byte {
+	dst = append(dst, open)
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, sep...)
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
+	}
+	return append(dst, close)
+}
 
 // BurstLength returns the duration of one burst of m consecutive tasks of
 // app: Ewc(1) + (m-1) * Ewc(2).

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/engine/evalcache"
 	"repro/internal/sched"
@@ -33,29 +32,35 @@ type CorePoint struct {
 	Point sched.JointSchedule
 }
 
-// appsKey renders a global application subset as "c[i1 i2 ...]".
-func appsKey(apps []int) string {
-	var b strings.Builder
-	b.Grow(4 + 3*len(apps))
-	b.WriteString("c[")
+// appendApps appends a global application subset as "c[i1 i2 ...]".
+func appendApps(dst []byte, apps []int) []byte {
+	dst = append(dst, "c["...)
 	for i, a := range apps {
 		if i > 0 {
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
-		b.WriteString(strconv.Itoa(a))
+		dst = strconv.AppendInt(dst, int64(a), 10)
 	}
-	b.WriteByte(']')
-	return b.String()
+	return append(dst, ']')
 }
 
 // Key returns the canonical memoization key: the subset prefix keeps
 // records of different placements distinct, so a multicore cache can share
 // a store namespace with the schedule and joint caches (no single-core key
 // starts with "c[").
-func (p CorePoint) Key() string { return appsKey(p.Apps) + "|" + p.Point.Key() }
+func (p CorePoint) Key() string {
+	var buf [64]byte
+	return string(p.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the bytes of Key, "c[i1 i2]|" + the joint point's key,
+// to dst.
+func (p CorePoint) AppendKey(dst []byte) []byte {
+	return p.Point.AppendKey(append(appendApps(dst, p.Apps), '|'))
+}
 
 // String renders the point as "c[i1 i2]:(m1, m2)x[w1 w2]".
-func (p CorePoint) String() string { return appsKey(p.Apps) + ":" + p.Point.String() }
+func (p CorePoint) String() string { return string(appendApps(nil, p.Apps)) + ":" + p.Point.String() }
 
 // CoreEvalFunc evaluates the weighted control performance of one core's
 // joint point (weights keep their global values, so per-core values sum to
@@ -382,7 +387,7 @@ func multicoreSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores in
 
 	solved := map[string]*coreSolve{}
 	solve := func(idx []int) (*coreSolve, error) {
-		key := appsKey(idx)
+		key := string(appendApps(nil, idx))
 		if cs, ok := solved[key]; ok {
 			return cs, nil
 		}

@@ -32,6 +32,15 @@ func TestCorePointKey(t *testing.T) {
 	if got, want := shared.Key(), "c[1]|(2)"; got != want {
 		t.Errorf("shared key %q, want %q", got, want)
 	}
+	// The caches look points up by AppendKey: it must render Key's bytes.
+	for _, q := range []CorePoint{p, shared, {Apps: []int{3, 10, 11}, Point: sched.JointSchedule{M: sched.Schedule{1, 2, 3}}}} {
+		if got := string(q.AppendKey(nil)); got != q.Key() {
+			t.Errorf("AppendKey %q, Key %q", got, q.Key())
+		}
+		if got := string(q.AppendKey([]byte("ns/"))); got != "ns/"+q.Key() {
+			t.Errorf("AppendKey after a prefix = %q", got)
+		}
+	}
 }
 
 func TestCanonicalAssignment(t *testing.T) {

@@ -379,8 +379,8 @@ func allMissCost(n program.Node, cfg cachesim.Config) int64 {
 
 // simulateHierNode is simulateNode against the concrete two-level cache:
 // same worst-branch policy (costlier arm from the current state, ties to
-// Then).
-func simulateHierNode(n program.Node, c *cachesim.HierCache) int64 {
+// Then), same one fork and two simulations per branch.
+func simulateHierNode(n program.Node, c *cachesim.HierCache, f *forks[*cachesim.HierCache]) int64 {
 	switch v := n.(type) {
 	case nil:
 		return 0
@@ -389,33 +389,26 @@ func simulateHierNode(n program.Node, c *cachesim.HierCache) int64 {
 	case program.Seq:
 		var total int64
 		for _, child := range v {
-			total += simulateHierNode(child, c)
+			total += simulateHierNode(child, c, f)
 		}
 		return total
 	case program.Loop:
 		var total int64
 		for i := 0; i < v.Count; i++ {
-			total += simulateHierNode(v.Body, c)
+			total += simulateHierNode(v.Body, c, f)
 		}
 		return total
 	case program.Branch:
-		ct := simulateHierNode(v.Then, c.Clone())
-		ce := simulateHierNode(v.Else, c.Clone())
-		if ce > ct {
-			return simulateHierNode(v.Else, c)
+		t := f.fork(c)
+		ct := simulateHierNode(v.Then, t, f)
+		ce := simulateHierNode(v.Else, c, f)
+		if ce <= ct {
+			*c, *t = *t, *c
 		}
-		return simulateHierNode(v.Then, c)
+		f.release(t)
+		return max(ct, ce)
 	}
 	panic(badNode(n))
-}
-
-// simulateTwoRunsHier returns the concrete cycles of a cold run followed by
-// a warm run through the two-level cache.
-func simulateTwoRunsHier(p *program.Program, cfg cachesim.Config, h cachesim.Hierarchy) (coldRun, warmRun int64) {
-	c := cachesim.MustNewHier(cfg, h)
-	coldRun = simulateHierNode(p.Root, c)
-	warmRun = simulateHierNode(p.Root, c)
-	return coldRun, warmRun
 }
 
 // SimulateHierRuns returns the concrete per-run cycle counts of k
@@ -423,9 +416,10 @@ func simulateTwoRunsHier(p *program.Program, cfg cachesim.Config, h cachesim.Hie
 // the worst-branch policy; the hierarchy twin of SimulateRuns.
 func SimulateHierRuns(p *program.Program, cfg cachesim.Config, h cachesim.Hierarchy, k int) []int64 {
 	c := cachesim.MustNewHier(cfg, h)
+	f := &forks[*cachesim.HierCache]{}
 	out := make([]int64, k)
 	for i := range out {
-		out[i] = simulateHierNode(p.Root, c)
+		out[i] = simulateHierNode(p.Root, c, f)
 	}
 	return out
 }

@@ -106,18 +106,22 @@ func Analyze(p *program.Program, plat Platform) (*Result, error) {
 		return nil, err
 	}
 
-	var cold, warm, simCold, simWarm int64
+	// The simulation runs twice back to back: a cold task, then a warm one
+	// (consecutive tasks of one burst).
+	var cold, warm int64
+	var sim []int64
 	if plat.Hier.Enabled() {
 		cold, warm = hierMustBounds(p, plat.Cache, plat.Hier)
-		simCold, simWarm = simulateTwoRunsHier(p, plat.Cache, plat.Hier)
+		sim = SimulateHierRuns(p, plat.Cache, plat.Hier, 2)
 	} else {
 		var err error
 		cold, warm, err = mustBounds(p, plat.Cache)
 		if err != nil {
 			return nil, err
 		}
-		simCold, simWarm = simulateTwoRuns(p, plat.Cache)
+		sim = SimulateRuns(p, plat.Cache, 2)
 	}
+	simCold, simWarm := sim[0], sim[1]
 
 	res := &Result{
 		ColdCycles:      cold,
@@ -434,10 +438,38 @@ func mustBounds(p *program.Program, cfg cachesim.Config) (cold, warm int64, err 
 // Engine 2: concrete worst-path simulation.
 // ---------------------------------------------------------------------------
 
+// forks recycles the caches a worst-branch simulation runs Then arms on:
+// a fork copies the current state into a spare cache when one is free and
+// clones otherwise, so one simulation allocates at most one cache per
+// branch nesting level instead of one per branch executed.
+type forks[C interface {
+	Clone() C
+	CopyFrom(C)
+}] struct {
+	spare []C
+}
+
+// fork returns a copy of c's state.
+func (f *forks[C]) fork(c C) C {
+	if n := len(f.spare); n > 0 {
+		t := f.spare[n-1]
+		f.spare = f.spare[:n-1]
+		t.CopyFrom(c)
+		return t
+	}
+	return c.Clone()
+}
+
+// release returns a fork whose state is no longer needed.
+func (f *forks[C]) release(t C) { f.spare = append(f.spare, t) }
+
 // simulateNode executes n against the concrete cache, choosing at each
 // branch the arm that is costlier *from the current concrete state* (ties
-// go to Then), and returns the cycle count.
-func simulateNode(n program.Node, c *cachesim.Cache) int64 {
+// go to Then), and returns the cycle count. A branch simulates each arm
+// once: Then on a fork of the state, Else on c itself; when Then wins, the
+// fork's state (contents, replacement state and Stats) is swapped into c,
+// so c ends exactly as if only the chosen arm had run.
+func simulateNode(n program.Node, c *cachesim.Cache, f *forks[*cachesim.Cache]) int64 {
 	switch v := n.(type) {
 	case nil:
 		return 0
@@ -447,43 +479,38 @@ func simulateNode(n program.Node, c *cachesim.Cache) int64 {
 	case program.Seq:
 		var total int64
 		for _, child := range v {
-			total += simulateNode(child, c)
+			total += simulateNode(child, c, f)
 		}
 		return total
 	case program.Loop:
 		var total int64
 		for i := 0; i < v.Count; i++ {
-			total += simulateNode(v.Body, c)
+			total += simulateNode(v.Body, c, f)
 		}
 		return total
 	case program.Branch:
-		ct := simulateNode(v.Then, c.Clone())
-		ce := simulateNode(v.Else, c.Clone())
-		if ce > ct {
-			return simulateNode(v.Else, c)
+		t := f.fork(c)
+		ct := simulateNode(v.Then, t, f)
+		ce := simulateNode(v.Else, c, f)
+		if ce <= ct {
+			*c, *t = *t, *c
 		}
-		return simulateNode(v.Then, c)
+		f.release(t)
+		return max(ct, ce)
 	}
 	panic(fmt.Sprintf("wcet: unknown node type %T", n))
 }
 
-// simulateTwoRuns returns the concrete cycles of a cold run followed by a
-// warm run of the same program (back-to-back tasks of one burst).
-func simulateTwoRuns(p *program.Program, cfg cachesim.Config) (coldRun, warmRun int64) {
-	c := cachesim.MustNew(cfg)
-	coldRun = simulateNode(p.Root, c)
-	warmRun = simulateNode(p.Root, c)
-	return coldRun, warmRun
-}
-
 // SimulateRuns returns the concrete per-run cycle counts of k back-to-back
-// executions starting from a cold cache, using the worst-branch policy. It
-// is used by integration tests to validate the burst model of Eq. (5).
+// executions starting from a cold cache, using the worst-branch policy.
+// Analyze runs it with k = 2; integration tests use longer runs to validate
+// the burst model of Eq. (5).
 func SimulateRuns(p *program.Program, cfg cachesim.Config, k int) []int64 {
 	c := cachesim.MustNew(cfg)
+	f := &forks[*cachesim.Cache]{}
 	out := make([]int64, k)
 	for i := range out {
-		out[i] = simulateNode(p.Root, c)
+		out[i] = simulateNode(p.Root, c, f)
 	}
 	return out
 }
@@ -492,5 +519,5 @@ func SimulateRuns(p *program.Program, cfg cachesim.Config, k int) []int64 {
 // the cycle count. The cache is mutated; schedule-level integration tests
 // use this to interleave multiple applications on one cache.
 func SimulateOn(p *program.Program, c *cachesim.Cache) int64 {
-	return simulateNode(p.Root, c)
+	return simulateNode(p.Root, c, &forks[*cachesim.Cache]{})
 }
